@@ -18,7 +18,8 @@ import repro.core.Harness
 class Table4Bench extends ReproSpec {
 
   test("Table 4: repair and detection performance on real-world datasets") {
-    val budgetMs = sys.env.getOrElse("REPRO_T4_BUDGET_S", "180").toLong * 1000
+    val budgetMs = sys.env.get("REPRO_T4_BUDGET_S").map(_.toLong)
+      .getOrElse(Harness.Table4BudgetS) * 1000
     val outcomes = Harness.table4(spark, Algorithms.all, budgetMs)
     val rendered = Harness.renderTable4(outcomes)
     println("==== Table 4 (measured) ====")

@@ -20,12 +20,14 @@ import repro.core.Harness
 class Table6Bench extends ReproSpec {
 
   test("Table 6: runtime scaling on Tax subsets") {
-    val budgetMs = sys.env.getOrElse("REPRO_T6_BUDGET_S", "60").toLong * 1000
+    val budgetMs = sys.env.get("REPRO_T6_BUDGET_S").map(_.toLong)
+      .getOrElse(Harness.Table6BudgetS) * 1000
     val sizes = sys.env.get("REPRO_T6_SIZES")
       .map(_.split(",").map(_.trim.toInt).toSeq)
-      .getOrElse(Seq(5000, 10000, 20000, 30000, 40000))
+      .getOrElse(Harness.Table6Sizes)
     val outcomes = Harness.table6(spark, Algorithms.all, sizes, budgetMs,
-      holoCleanMaxCells = sys.env.getOrElse("REPRO_T6_HC_CELLS", "2000000000").toLong)
+      holoCleanMaxCells = sys.env.get("REPRO_T6_HC_CELLS").map(_.toLong)
+        .getOrElse(Harness.HoloCleanMaxCells))
     println("==== Table 6 (measured) ====")
     println(Harness.renderTable6(outcomes))
 

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.algos.Algorithms
 import repro.core.Harness
 
@@ -11,17 +10,11 @@ import repro.core.Harness
   */
 object Table4Job {
   def main(args: Array[String]): Unit = {
-    val budgetMs = args.headOption.map(_.toLong * 1000).getOrElse(120000L)
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro-table4")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.sql.shuffle.partitions", "16")
-      .getOrCreate()
-    try {
-      val outcomes = Harness.table4(spark, Algorithms.all, budgetMs)
+    val budgetS = args.headOption.map(_.toLong).getOrElse(Harness.Table4BudgetS)
+    Jobs.withSession("repro-table4") { spark =>
+      val outcomes = Harness.table4(spark, Algorithms.all, budgetS * 1000)
       println("==== Table 4: error detection and repair performance ====")
       println(Harness.renderTable4(outcomes))
-    } finally spark.stop()
+    }
   }
 }

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.core.Harness
 
 /** spark-submit entrypoint reproducing Table 5 (dataset characteristics).
@@ -10,16 +9,10 @@ import repro.core.Harness
 object Table5Job {
   def main(args: Array[String]): Unit = {
     val taxRows = args.headOption.map(_.toInt).getOrElse(20000)
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro-table5")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.sql.shuffle.partitions", "16")
-      .getOrCreate()
-    try {
+    Jobs.withSession("repro-table5") { spark =>
       val stats = Harness.table5(spark, taxRows = taxRows)
       println("==== Table 5: dataset characteristics ====")
       println(Harness.renderTable5(stats))
-    } finally spark.stop()
+    }
   }
 }

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.algos.Algorithms
 import repro.core.Harness
 
@@ -11,21 +10,15 @@ import repro.core.Harness
   */
 object Table6Job {
   def main(args: Array[String]): Unit = {
-    val budgetMs = args.headOption.map(_.toLong * 1000).getOrElse(60000L)
+    val budgetS = args.headOption.map(_.toLong).getOrElse(Harness.Table6BudgetS)
     val sizes = args.lift(1)
       .map(_.split(",").map(_.trim.toInt).toSeq)
-      .getOrElse(Seq(5000, 10000, 20000, 30000, 40000))
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro-table6")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.sql.shuffle.partitions", "16")
-      .getOrCreate()
-    try {
-      val outcomes = Harness.table6(spark, Algorithms.all, sizes, budgetMs,
-        holoCleanMaxCells = 2_000_000_000L)
+      .getOrElse(Harness.Table6Sizes)
+    Jobs.withSession("repro-table6") { spark =>
+      val outcomes = Harness.table6(spark, Algorithms.all, sizes, budgetS * 1000,
+        Harness.HoloCleanMaxCells)
       println("==== Table 6: runtime scaling on Tax subsets ====")
       println(Harness.renderTable6(outcomes))
-    } finally spark.stop()
+    }
   }
 }

@@ -13,9 +13,6 @@ object Algorithms {
     BoostClean,
   )
 
-  /** Algorithms that consume external (Raha) detection results. */
-  val needsDetections: Set[String] = Set(Baran.name, Scare.name)
-
   /** Lookup by display name. */
   def byName(name: String): RepairAlgorithm =
     all.find(_.name.equalsIgnoreCase(name))

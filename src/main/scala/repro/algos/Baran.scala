@@ -56,17 +56,12 @@ object Baran extends RepairAlgorithm {
       case (_, t) if corrections.exists { case (_, d, c) => t(d) == c } => t
     }
 
-    // vicinity model support: per attribute, inverted index value -> rows
-    val index: Map[Int, Map[String, Seq[Int]]] = in.attrs.indices.map { j =>
-      j -> tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.toSeq).toMap
-    }.toMap
     // domain model support: per attribute, value frequency over un-flagged cells
     val domainFreq: Map[Int, Map[String, Int]] = in.attrs.indices.map { j =>
       val attr = in.attrs(j)
-      val clean = tab.rows.indices
-        .filter(i => !detections.contains((tab.tids(i), attr)))
-        .map(i => tab.rows(i)(j))
-      j -> clean.groupBy(identity).view.mapValues(_.size).toMap
+      j -> tab.valueIndex(j)
+        .map { case (v, is) => v -> is.count(i => !detections.contains((tab.tids(i), attr))) }
+        .filter(_._2 > 0)
     }.toMap
 
     def candidates(i: Int, j: Int): Map[String, Map[String, Double]] = {
@@ -89,7 +84,7 @@ object Baran extends RepairAlgorithm {
       for (k <- in.attrs.indices if k != j) {
         val otherAttr = in.attrs(k)
         if (!detections.contains((tab.tids(i), otherAttr))) {
-          val mates = index(k).getOrElse(tab.rows(i)(k), Nil)
+          val mates = tab.valueIndex(k)(tab.rows(i)(k))
           if (mates.size <= maxMates) {
             for (m <- mates if m != i) {
               val v = tab.rows(m)(j)
@@ -149,8 +144,6 @@ object Baran extends RepairAlgorithm {
       }
     }
 
-    RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes.toSeq)),
-      in.detections)
+    RepairResult(tab.patched(fixes).toDf(in.spark), in.detections)
   }
 }

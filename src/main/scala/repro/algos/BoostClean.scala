@@ -21,8 +21,6 @@ object BoostClean extends RepairAlgorithm {
   /** Boosting rounds (size of the composed repair sequence). */
   private val Rounds = 6
 
-  private val MvTokens = Set("", "N/A", "UNKNOWN", "999", "null")
-
   private sealed trait Action { def attr: String; def label: String }
   private final case class ImputeMode(attr: String)   extends Action { val label = s"mode($attr)" }
   private final case class ImputeMean(attr: String)   extends Action { val label = s"mean($attr)" }
@@ -35,9 +33,6 @@ object BoostClean extends RepairAlgorithm {
     val targetJ = tab.attrIdx(target)
 
     // ---- quantitative detection per attribute ----
-    val freq: Array[Map[String, Int]] = in.attrs.indices.map { j =>
-      tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.size).toMap
-    }.toArray
     def numericShare(j: Int): Double =
       tab.rows.indices.count(i => parseNum(tab.rows(i)(j)).isDefined).toDouble / math.max(1, n)
     val isNumericCol: Array[Boolean] = in.attrs.indices.map(j =>
@@ -49,12 +44,11 @@ object BoostClean extends RepairAlgorithm {
       * (Table 4's strongly negative EDR).
       */
     val rareBar = math.max(1, n / 100)
-    def flaggedRows(j: Int): Seq[Int] = tab.rows.indices.filter { i =>
-      val v = tab.rows(i)(j)
-      MvTokens.contains(v) || freq(j)(v) <= rareBar ||
-        (isNumericCol(j) && parseNum(v).isEmpty)
-    }
-    val flaggedByAttr: Array[Seq[Int]] = in.attrs.indices.map(flaggedRows).toArray
+    def flagged(j: Int, v: String): Boolean =
+      Cells.isMissing(v) || tab.freq(j)(v) <= rareBar || (isNumericCol(j) && parseNum(v).isEmpty)
+    val flaggedByAttr: Array[Seq[Int]] = in.attrs.indices.map { j =>
+      tab.rows.indices.filter(i => flagged(j, tab.rows(i)(j)))
+    }.toArray
 
     // ---- candidate action library ----
     // actions whose detector flags nothing are no-ops: drop them so the
@@ -68,13 +62,15 @@ object BoostClean extends RepairAlgorithm {
 
     def imputeValue(act: Action): String = {
       val j = tab.attrIdx(act.attr)
-      val goodVals = tab.rows.indices
+      lazy val goodVals = tab.rows.indices
         .filterNot(flaggedByAttr(j).toSet)
         .map(i => tab.rows(i)(j))
       act match {
         case ImputeMode(_) =>
-          if (goodVals.isEmpty) "" else goodVals.groupBy(identity).toSeq
-            .maxBy { case (v, vs) => (vs.size, v) }(
+          // the detectors flag by value, so un-flagged values keep their full count
+          val good = tab.freq(j).filter { case (v, _) => !flagged(j, v) }
+          if (good.isEmpty) "" else good
+            .maxBy { case (v, c) => (c, v) }(
               Ordering.Tuple2(Ordering.Int, Ordering.String.reverse))._1
         case ImputeMean(_) =>
           val nums = goodVals.flatMap(parseNum)
@@ -137,15 +133,10 @@ object BoostClean extends RepairAlgorithm {
       round += 1
     }
 
-    val fixes = for {
-      i <- tab.rows.indices
-      j <- in.attrs.indices
-      if current(i)(j) != tab.rows(i)(j)
-    } yield (tab.tids(i), in.attrs(j), current(i)(j))
     val detections = sequence.flatMap(a =>
       flaggedByAttr(tab.attrIdx(a.attr)).map(i => (tab.tids(i), a.attr))).distinct
     RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes)),
+      Cells.fromRows(in.spark, tab.tids, current, in.attrs),
       Some(Common.detectionsDf(in.dirty, detections.toSeq)))
   }
 

@@ -1,6 +1,7 @@
 package repro.algos
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import scala.collection.mutable
+import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
 import org.apache.spark.sql.expressions.Window
 import repro.core._
 
@@ -13,18 +14,13 @@ object Common {
     *
     * `tieLexicMin = true` breaks count ties by the lexicographically
     * smallest RHS value (Holistic's deterministic-but-arbitrary pick);
-    * `false` by the largest (BigDansing's).
+    * `false` by the largest (BigDansing's). Missing-value tokens never
+    * win a vote while a real value is tied with them.
     */
-  /** Missing-value tokens never win a repair vote: real repair candidates
-    * come from the active domain, and "repairing" toward NULL has
-    * unbounded cost in every cost model.
-    */
-  val MvTokens: Seq[String] = Seq("", "N/A", "UNKNOWN", "999", "null")
-
   def fdWinners(df: DataFrame, fd: FD, tieLexicMin: Boolean = true): DataFrame = {
     val pats = Violations.fdPatternCounts(df, fd)
     val ord  = if (tieLexicMin) F.col("rhsVal").asc else F.col("rhsVal").desc
-    val mvLast = F.when(F.col("rhsVal").isin(MvTokens: _*), 1).otherwise(0)
+    val mvLast = F.when(F.col("rhsVal").isin(Cells.MvTokens: _*), 1).otherwise(0)
     val w    = Window.partitionBy("lhsKey").orderBy(F.col("cnt").desc, mvLast.asc, ord)
     val tot  = Window.partitionBy("lhsKey")
     pats
@@ -114,12 +110,65 @@ object Common {
     case dc: DC if Rule.dcAsFd(dc).isEmpty => dc
   }
 
-  /** Driver-side snapshot of a relation, ordered by tid. */
+  /** Driver-side snapshot of a relation, ordered by tid, shared by the
+    * in-memory algorithms. Its indexes are built lazily, once per instance;
+    * callers never mutate `rows`.
+    */
   final case class Tabular(tids: Array[Long], rows: Array[Array[String]],
                            attrs: Seq[String]) {
     val attrIdx: Map[String, Int] = attrs.zipWithIndex.toMap
-    val tidIdx: Map[Long, Int]    = tids.zipWithIndex.toMap
+    lazy val tidIdx: Map[Long, Int] = tids.zipWithIndex.toMap
     def value(tid: Long, attr: String): String = rows(tidIdx(tid))(attrIdx(attr))
+
+    /** Group key of row `i` under `lhs`: its LHS values, not a joined string. */
+    def lhsKey(i: Int, lhs: Seq[String]): Seq[String] = lhs.map(a => rows(i)(attrIdx(a)))
+
+    private val valueIndexes = mutable.Map.empty[Int, Map[String, IndexedSeq[Int]]]
+    private val freqs        = mutable.Map.empty[Int, Map[String, Int]]
+    private val groupings    = mutable.Map.empty[Seq[String], Map[Seq[String], IndexedSeq[Int]]]
+    private val groupHists   = mutable.Map.empty[FD, Map[Seq[String], Map[String, Int]]]
+
+    /** Attribute `j`'s inverted index: value -> row indices, ascending. */
+    def valueIndex(j: Int): Map[String, IndexedSeq[Int]] =
+      valueIndexes.getOrElseUpdate(j, rows.indices.groupBy(i => rows(i)(j)))
+
+    /** Attribute `j`'s value counts. */
+    def freq(j: Int): Map[String, Int] =
+      freqs.getOrElseUpdate(j, valueIndex(j).map { case (v, is) => v -> is.size })
+
+    /** Row indices per LHS group, ascending within a group. */
+    def groups(lhs: Seq[String]): Map[Seq[String], IndexedSeq[Int]] =
+      groupings.getOrElseUpdate(lhs, rows.indices.groupBy(lhsKey(_, lhs)))
+
+    /** Per LHS group of `fd`, a histogram of its RHS values. */
+    def groupHist(fd: FD): Map[Seq[String], Map[String, Int]] =
+      groupHists.getOrElseUpdate(fd, {
+        val j = attrIdx(fd.rhs)
+        groups(fd.lhs).map { case (k, is) =>
+          k -> is.groupMapReduce(i => rows(i)(j))(_ => 1)(_ + _)
+        }
+      })
+
+    /** Copy-on-write patch with `(tid, attr, value)` fixes; when a cell
+      * gets several proposals, the first one wins.
+      */
+    def patched(fixes: Iterable[(Long, String, String)]): Tabular =
+      if (fixes.isEmpty) this
+      else {
+        val out = rows.clone()
+        val done = mutable.Set.empty[(Int, Int)]
+        for ((tid, attr, v) <- fixes) {
+          val i = tidIdx(tid); val j = attrIdx(attr)
+          if (done.add((i, j))) {
+            if (out(i) eq rows(i)) out(i) = rows(i).clone()
+            out(i)(j) = v
+          }
+        }
+        Tabular(tids, out, attrs)
+      }
+
+    /** Write back as a wide relation with the standard schema. */
+    def toDf(spark: SparkSession): DataFrame = Cells.fromRows(spark, tids, rows, attrs)
   }
 
   /** Collect a relation to the driver (datasets are main-memory scale,
@@ -133,13 +182,6 @@ object Common {
       rows.map(_.getLong(0)),
       rows.map(r => Array.tabulate(attrs.size)(j => r.getString(j + 1))),
       attrs)
-  }
-
-  /** Publish driver-side cell repairs as a `(__tid, attr, value)` frame. */
-  def repairsDf(df: DataFrame, fixes: Seq[(Long, String, String)]): DataFrame = {
-    val spark = df.sparkSession
-    if (fixes.isEmpty) Cells.noRepairs(df)
-    else spark.createDataFrame(fixes).toDF(Tid, "attr", "value")
   }
 
   /** Detected-cell frame from driver-side pairs. */

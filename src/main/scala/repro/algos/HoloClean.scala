@@ -27,11 +27,10 @@ object HoloClean extends RepairAlgorithm {
   private val WCooc = 1.0
   private val WFreq = 0.3
   private val WRule = 1.5
-  /** Minimality prior of the observed value on an un-detected cell. */
-  private val WPriorClean = 1.0
-  /** Prior once detection marks the cell untrustworthy: none — detection
-    * strips the minimality prior entirely, so inference commits to the
-    * best candidate even on weak evidence (the Beers/Rayyan collapse).
+  /** Minimality prior of the observed value. Only detected cells are
+    * scored, and detection strips the prior entirely, so inference
+    * commits to the best candidate even on weak evidence (the
+    * Beers/Rayyan collapse).
     */
   private val WPriorDetected = 0.0
   /** Minimum inferred score to commit a repair. Deliberately low: once
@@ -42,8 +41,6 @@ object HoloClean extends RepairAlgorithm {
     */
   private val MinScore = 0.001
 
-  private val MvTokens = Set("", "N/A", "UNKNOWN", "999", "null")
-
   override def repair(in: RepairInput): RepairResult = {
     val tab = Common.collect(in.dirty, in.attrs)
     val n = tab.tids.length
@@ -52,21 +49,16 @@ object HoloClean extends RepairAlgorithm {
     val violationCells: Set[(Long, String)] =
       Violations.violatingCells(in.dirty, in.rules)
         .collect().map(r => (r.getLong(0), r.getString(1))).toSet
-    val freq: Array[Map[String, Int]] = in.attrs.indices.map { j =>
-      tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.size).toMap
-    }.toArray
     val detected = scala.collection.mutable.LinkedHashSet.empty[(Long, String)]
     for (i <- tab.rows.indices; j <- in.attrs.indices) {
       val v = tab.rows(i)(j)
       val cell = (tab.tids(i), in.attrs(j))
-      if (MvTokens.contains(v) || freq(j)(v) <= 1 || violationCells.contains(cell))
+      if (Cells.isMissing(v) || tab.freq(j)(v) <= 1 || violationCells.contains(cell))
         detected += cell
     }
 
     // ---- candidate domain generation from co-occurrence ----
-    val index: Array[Map[String, Seq[Int]]] = in.attrs.indices.map { j =>
-      tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.toSeq).toMap
-    }.toArray
+    def mates(i: Int, k: Int): IndexedSeq[Int] = tab.valueIndex(k)(tab.rows(i)(k))
     // The compiled program materializes co-occurrence statistics for every
     // (noisy cell, context) pair BEFORE inference — account that state
     // against the memory budget up front: this is Table 6's n/a* source.
@@ -74,17 +66,11 @@ object HoloClean extends RepairAlgorithm {
     for ((tid, attr) <- detected) {
       val i = tab.tidIdx(tid); val j = tab.attrIdx(attr)
       for (k <- in.attrs.indices if k != j)
-        domainEntries += index(k).getOrElse(tab.rows(i)(k), Nil).size
+        domainEntries += mates(i, k).size
     }
     in.budget.checkCells(domainEntries, s"$name domain generation")
 
     val fdByRhs: Map[String, Seq[FD]] = Rule.asFds(in.rules).groupBy(_.rhs)
-    // per-FD LHS-group index so rule support is O(group), not O(n)
-    val fdGroupIndex: Map[FD, Map[String, Seq[Int]]] =
-      Rule.asFds(in.rules).map { fd =>
-        fd -> tab.rows.indices.groupBy(i =>
-          fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString("")).view.mapValues(_.toSeq).toMap
-      }.toMap
 
     val fixes = scala.collection.mutable.ArrayBuffer.empty[(Long, String, String)]
     var processed = 0
@@ -99,45 +85,46 @@ object HoloClean extends RepairAlgorithm {
       val tally = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
       var total = 0
       for (k <- in.attrs.indices if k != j) {
-        val mates = index(k).getOrElse(tab.rows(i)(k), Nil)
-        if (mates.size <= maxMates) {
+        val ms = mates(i, k)
+        if (ms.size <= maxMates) {
           // NULL-equivalents are pruned from candidate domains: a repair
           // can never be a missing value
-          for (m <- mates if m != i) {
+          for (m <- ms if m != i) {
             val v = tab.rows(m)(j)
-            if (!MvTokens.contains(v)) { tally(v) += 1; total += 1 }
+            if (!Cells.isMissing(v)) { tally(v) += 1; total += 1 }
           }
         }
       }
 
       if (total > 0) {
-        // rule support: fraction of FD-group mates agreeing with a value
-        def ruleSupport(v: String): Double = {
-          val fds = fdByRhs.getOrElse(attr, Nil)
-          if (fds.isEmpty) 0.0
-          else fds.map { fd =>
-            val key = fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString("")
-            val mates = fdGroupIndex(fd).getOrElse(key, Nil).filter(_ != i)
-            if (mates.isEmpty) 0.0
-            else mates.count(m => tab.rows(m)(j) == v).toDouble / mates.size
-          }.max
+        // rule support: fraction of FD-group mates agreeing with a value,
+        // read off the group's RHS histogram minus the cell's own vote
+        val fdGroups = fdByRhs.getOrElse(attr, Nil).map { fd =>
+          val key = tab.lhsKey(i, fd.lhs)
+          (tab.groups(fd.lhs)(key).size - 1, tab.groupHist(fd)(key))
         }
+        def ruleSupport(v: String): Double =
+          if (fdGroups.isEmpty) 0.0
+          else fdGroups.map { case (nMates, hist) =>
+            val agree = hist.getOrElse(v, 0) - (if (v == observed) 1 else 0)
+            if (nMates == 0) 0.0 else agree.toDouble / nMates
+          }.max
         val attrTotal = n.toDouble
         def score(v: String): Double = {
           val cooc = tally(v).toDouble / total
-          val fr = freq(j).getOrElse(v, 0) / attrTotal
+          val fr = tab.freq(j).getOrElse(v, 0) / attrTotal
           val prior = if (v == observed) WPriorDetected else 0.0
           WCooc * cooc + WFreq * fr + WRule * ruleSupport(v) + prior
         }
         val domain = (tally.keys.toSeq :+ observed).distinct
         val best = domain.map(v => (v, score(v))).sortBy { case (v, s) => (-s, v) }.head
-        if (best._1 != observed && !MvTokens.contains(best._1) && best._2 >= MinScore)
+        if (best._1 != observed && !Cells.isMissing(best._1) && best._2 >= MinScore)
           fixes += ((tid, attr, best._1))
       }
     }
 
     RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes.toSeq)),
+      tab.patched(fixes).toDf(in.spark),
       Some(Common.detectionsDf(in.dirty, detected.toSeq)))
   }
 }

@@ -1,6 +1,5 @@
 package repro.algos
 
-import org.apache.spark.sql.{functions => F}
 import repro.core._
 
 /** NADEEF (Ebaid et al., VLDB'13) — rule-driven, generalized rules.
@@ -21,7 +20,6 @@ object Nadeef extends RepairAlgorithm {
   override def repair(in: RepairInput): RepairResult = {
     val attrs = in.attrs
     val nAttrs = attrs.size
-    val attrIdx = attrs.zipWithIndex.toMap
     var tab = Common.collect(in.dirty, attrs)
     var anyChange = true
     var round = 0
@@ -30,7 +28,7 @@ object Nadeef extends RepairAlgorithm {
       in.budget.checkTime(s"$name round $round")
       anyChange = false
       val uf = new UnionFind
-      def cellId(tid: Long, attr: String): Long = tid * nAttrs + attrIdx(attr)
+      def cellId(tid: Long, attr: String): Long = tid * nAttrs + tab.attrIdx(attr)
 
       // Equivalence classes: for every FD, the RHS cells of all tuples
       // agreeing on the LHS belong together. Classes sharing a cell merge,
@@ -40,22 +38,16 @@ object Nadeef extends RepairAlgorithm {
       // classes on redundant data (Table 4's strongly negative rows).
       val valueAnchor = scala.collection.mutable.Map.empty[(String, String), Long]
       for (fd <- Rule.asFds(in.rules)) {
-        val j = attrIdx(fd.rhs)
-        val groups = tab.tids.indices.groupBy { i =>
-          fd.lhs.map(a => tab.rows(i)(attrIdx(a))).mkString("")
-        }
-        for ((_, members) <- groups if members.size > 1) {
-          val rhsVals = members.map(i => tab.rows(i)(attrIdx(fd.rhs)))
-          if (rhsVals.distinct.size > 1) {
-            val first = cellId(tab.tids(members.head), fd.rhs)
-            members.tail.foreach(i => uf.union(first, cellId(tab.tids(i), fd.rhs)))
-            members.foreach { i =>
-              val cid = cellId(tab.tids(i), fd.rhs)
-              val key = (fd.id, tab.rows(i)(j))
-              valueAnchor.get(key) match {
-                case Some(anchor) => uf.union(anchor, cid)
-                case None         => valueAnchor(key) = cid
-              }
+        val j = tab.attrIdx(fd.rhs)
+        for ((g, members) <- tab.groups(fd.lhs) if tab.groupHist(fd)(g).size > 1) {
+          val first = cellId(tab.tids(members.head), fd.rhs)
+          members.tail.foreach(i => uf.union(first, cellId(tab.tids(i), fd.rhs)))
+          members.foreach { i =>
+            val cid = cellId(tab.tids(i), fd.rhs)
+            val key = (fd.id, tab.rows(i)(j))
+            valueAnchor.get(key) match {
+              case Some(anchor) => uf.union(anchor, cid)
+              case None         => valueAnchor(key) = cid
             }
           }
         }
@@ -70,7 +62,7 @@ object Nadeef extends RepairAlgorithm {
           (cid, tab.value(tid, a))
         }
         val counts = vals.groupBy(_._2).toSeq
-        val nonMv = counts.filterNot { case (v, _) => Common.MvTokens.contains(v) }
+        val nonMv = counts.filterNot { case (v, _) => Cells.isMissing(v) }
         val pool = if (nonMv.nonEmpty) nonMv else counts
         val winner = pool
           .maxBy { case (v, vs) => (vs.size, v) }(
@@ -79,33 +71,14 @@ object Nadeef extends RepairAlgorithm {
           if (v != winner) {
             val tid = cid / nAttrs; val a = attrs((cid % nAttrs).toInt)
             fixes += ((tid, a, winner))
-            anyChange = true
           }
         }
       }
 
-      if (anyChange) {
-        val byTid = fixes.groupBy(_._1)
-        val newRows = tab.rows.clone()
-        for ((tid, fs) <- byTid) {
-          val i = tab.tidIdx(tid)
-          val row = newRows(i).clone()
-          fs.foreach { case (_, a, v) => row(attrIdx(a)) = v }
-          newRows(i) = row
-        }
-        tab = Common.Tabular(tab.tids, newRows, attrs)
-      }
+      anyChange = fixes.nonEmpty
+      tab = tab.patched(fixes)
       round += 1
     }
-
-    // publish the driver-side result back as a repairs frame
-    val orig = Common.collect(in.dirty, attrs)
-    val fixes = for {
-      i <- tab.tids.indices
-      j <- attrs.indices
-      if tab.rows(i)(j) != orig.rows(i)(j)
-    } yield (tab.tids(i), attrs(j), tab.rows(i)(j))
-    val repaired = Cells.applyRepairs(in.dirty, attrs, Common.repairsDf(in.dirty, fixes))
-    RepairResult(repaired)
+    RepairResult(tab.toDf(in.spark))
   }
 }

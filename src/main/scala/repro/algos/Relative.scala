@@ -38,12 +38,7 @@ object Relative extends RepairAlgorithm {
     /** Minimal data changes for one FD: non-majority tuples per group. */
     def dataCost(fd: FD): Int = {
       visit()
-      val groups = tab.tids.indices.groupBy(i =>
-        fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString(""))
-      groups.valuesIterator.map { members =>
-        val counts = members.groupBy(i => tab.rows(i)(tab.attrIdx(fd.rhs)))
-        if (counts.size <= 1) 0 else members.size - counts.valuesIterator.map(_.size).max
-      }.sum
+      tab.groupHist(fd).valuesIterator.map(h => h.values.sum - h.values.max).sum
     }
 
     /** Candidate modifications of one FD: itself, or its LHS extended by
@@ -76,21 +71,16 @@ object Relative extends RepairAlgorithm {
 
     val chosen = best.map(_._1).getOrElse(fds)
     val fixes = scala.collection.mutable.ArrayBuffer.empty[(Long, String, String)]
-    for (fd <- chosen) {
-      val groups = tab.tids.indices.groupBy(i =>
-        fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString(""))
-      for ((_, members) <- groups if members.size > 1) {
-        val counts = members.groupBy(i => tab.rows(i)(tab.attrIdx(fd.rhs)))
-        if (counts.size > 1) {
-          val winner = counts.toSeq
-            .maxBy { case (v, ms) => (ms.size, v) }(
-              Ordering.Tuple2(Ordering.Int, Ordering.String.reverse))._1
-          for (i <- members if tab.rows(i)(tab.attrIdx(fd.rhs)) != winner)
-            fixes += ((tab.tids(i), fd.rhs, winner))
-        }
+    for (fd <- chosen; (key, members) <- tab.groups(fd.lhs)) {
+      val counts = tab.groupHist(fd)(key)
+      if (counts.size > 1) {
+        val winner = counts
+          .maxBy { case (v, c) => (c, v) }(
+            Ordering.Tuple2(Ordering.Int, Ordering.String.reverse))._1
+        for (i <- members if tab.rows(i)(tab.attrIdx(fd.rhs)) != winner)
+          fixes += ((tab.tids(i), fd.rhs, winner))
       }
     }
-    RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes.toSeq)))
+    RepairResult(tab.patched(fixes).toDf(in.spark))
   }
 }

@@ -80,7 +80,7 @@ object Scare extends RepairAlgorithm {
       .take(maxChanges)
       .map { case (tid, attr, v, _) => (tid, attr, v) }
     RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, bounded)),
+      tab.patched(bounded).toDf(in.spark),
       Some(Common.detectionsDf(in.dirty, detected.toSeq.distinct)))
   }
 }

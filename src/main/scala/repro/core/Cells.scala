@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession, functions => F}
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 /** Cell-level view over a relation.
   *
@@ -14,6 +15,32 @@ object Cells {
 
   /** Name of the tuple-id column every dataset carries. */
   val Tid = "__tid"
+
+  /** Missing-value tokens: the empty string (explicit) plus the implicit
+    * placeholders [[ErrorGen]] injects. Detection flags them, and no repair
+    * ever chooses one: "repairing" toward a missing value has unbounded
+    * cost in every cost model.
+    */
+  val MvTokens: Seq[String] = Seq("", "N/A", "UNKNOWN", "999", "null")
+
+  private val MvSet = MvTokens.toSet
+
+  def isMissing(v: String): Boolean = MvSet.contains(v)
+
+  /** Publish driver-side rows (`rows(i)` in `attrs` order, tuple id
+    * `tids(i)`) as a wide relation with the standard schema.
+    */
+  def fromRows(spark: SparkSession, tids: Array[Long], rows: Array[Array[String]],
+               attrs: Seq[String]): DataFrame = {
+    val schema = StructType(
+      StructField(Tid, LongType, nullable = false) +:
+        attrs.map(a => StructField(a, StringType, nullable = false)))
+    spark.createDataFrame(
+      spark.sparkContext.parallelize(
+        rows.indices.map(i => Row.fromSeq(tids(i) +: rows(i).toSeq)),
+        math.max(1, math.min(16, rows.length / 2000))),
+      schema)
+  }
 
   /** Melt a wide relation into `(__tid, attr, value)` rows via `stack`. */
   def melt(df: DataFrame, attrs: Seq[String]): DataFrame = {

@@ -56,7 +56,7 @@ object ErrorGen {
     rate,
     Seq(Typo -> 1.0, ExplicitMV -> 1.0, ImplicitMV -> 1.0, Format -> 1.0), seed)
 
-  private val ImplicitTokens = Vector("N/A", "UNKNOWN", "999", "null")
+  private val ImplicitTokens = Cells.MvTokens.filter(_.nonEmpty).toVector
 
   private def pickType(spec: ErrorSpec, rnd: Random): ErrorType = {
     val total = spec.typeWeights.map(_._2).sum

@@ -15,6 +15,15 @@ import repro.detect.Raha
   */
 object Harness {
 
+  /** Per-run wall-clock budget of Table 4, in seconds. */
+  val Table4BudgetS: Long = 180
+  /** Per-run wall-clock budget of Table 6, in seconds (the paper's 24 h). */
+  val Table6BudgetS: Long = 60
+  /** Nested Tax subset sizes of Table 6 (the paper's 10k..50k). */
+  val Table6Sizes: Seq[Int] = Seq(5000, 10000, 20000, 30000, 40000)
+  /** HoloClean's domain-statistics cell budget: above it, n/a*. */
+  val HoloCleanMaxCells: Long = 2_000_000_000L
+
   /** Outcome of one (algorithm, dataset) run. */
   final case class RunOutcome(
       algo: String,

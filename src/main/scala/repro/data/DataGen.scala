@@ -1,7 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 import repro.core.{Cells, ErrorGen, Rule}
 
@@ -72,16 +71,8 @@ trait DataGen {
                seed: Long): GeneratedDataset = {
     val clean = cleanRows(n, seed)
     val dirty = ErrorGen.inject(clean, attrs, numericAttrs, spec)
-    val schema = StructType(
-      StructField(Cells.Tid, LongType, nullable = false) +:
-        attrs.map(a => StructField(a, StringType, nullable = false)))
-    def toDf(rows: Array[Array[String]]): DataFrame = spark
-      .createDataFrame(
-        spark.sparkContext.parallelize(
-          rows.zipWithIndex.map { case (r, i) => Row.fromSeq(i.toLong +: r.toSeq) }.toSeq,
-          math.max(1, math.min(16, n / 2000))),
-        schema)
-      .cache()
+    def toDf(rows: Array[Array[String]]): DataFrame =
+      Cells.fromRows(spark, Array.tabulate(n)(_.toLong), rows, attrs).cache()
     val rnd = new Random(seed * 31 + 17)
     val tids = rnd.shuffle((0 until n).toList).take(math.min(nLabeled, n)).map(_.toLong).sorted
     val labeledMap = (for {

@@ -22,8 +22,6 @@ import repro.core.{Cells, DC, Rule, Violations}
 object Raha {
   import Cells.Tid
 
-  private val MvTokens = Seq("", "N/A", "UNKNOWN", "999", "null", "NULL", "na", "NA", "?")
-
   /** Character-class signature: digit runs -> 9, letter runs -> a,
     * whitespace runs -> _ ; punctuation survives. "12 Main St." -> "9 a a."
     */
@@ -41,7 +39,7 @@ object Raha {
     val cells = Cells.melt(df, attrs).cache()
     val n = df.count().toDouble
 
-    val mv = cells.where(F.col("value").isin(MvTokens: _*))
+    val mv = cells.where(F.col("value").isin(Cells.MvTokens: _*))
       .select(F.col(Tid), F.col("attr"), F.lit("MV").as("detector"))
 
     val withSig = cells.withColumn("sig", sigCol(F.col("value")))
